@@ -2,7 +2,9 @@
 
 use baselines::{CoarseHeap, FifoQueue, KLsm, Mound, MultiQueue, SprayList, StrictSkiplistPq};
 use pq_traits::ConcurrentPriorityQueue;
-use zmsq::{ArraySet, DequeSet, ListSet, Reclamation, SlabSet, TatasLock, Zmsq, ZmsqConfig};
+use zmsq::{
+    ArraySet, DequeSet, ListSet, Reclamation, SlabSet, TatasLock, Zmsq, ZmsqConfig, ZmsqList,
+};
 
 /// A boxed queue usable by every generic driver.
 pub type BoxedQueue<V> = Box<dyn ConcurrentPriorityQueue<V> + Sync + Send>;
@@ -55,23 +57,27 @@ pub fn make_zmsq_set<V: Send + 'static>(
 /// 262,144 elements — above every harness's default prefill, so the
 /// bench workloads never hit the admission ceiling and the arm isolates
 /// the allocation-free steady state (`ops_latency --assert-alloc-free`).
+///
+/// `zmsq`, `zmsq-leak`, `zmsq-wait` and `zmsq-strict` use the paper's
+/// linked-list sets, so they keep measuring its unlabelled "ZMSQ" curves;
+/// `zmsq-deque` is the default `Zmsq` (sorted-deque sets).
 pub fn make_queue<V: Send + 'static>(kind: &str, threads: usize) -> BoxedQueue<V> {
     let default = ZmsqConfig::default(); // batch=48, targetLen=72 (§4.2)
     match kind {
-        "zmsq" => Box::new(Zmsq::<V>::with_config(default)),
+        "zmsq" => Box::new(ZmsqList::<V>::with_config(default)),
         "zmsq-array" => Box::new(Zmsq::<V, ArraySet<V>, TatasLock>::with_config(default)),
         "zmsq-deque" => Box::new(Zmsq::<V, DequeSet<V>, TatasLock>::with_config(default)),
         "zmsq-slab" => Box::new(Zmsq::<V, SlabSet<V>, TatasLock>::with_config(default)),
         "zmsq-slab-bounded" => Box::new(Zmsq::<V, SlabSet<V>, TatasLock>::with_config(
             default.capacity(1 << 18),
         )),
-        "zmsq-leak" => Box::new(Zmsq::<V>::with_config(
+        "zmsq-leak" => Box::new(ZmsqList::<V>::with_config(
             default.reclamation(Reclamation::Leak),
         )),
-        "zmsq-wait" => Box::new(Zmsq::<V>::with_config(
+        "zmsq-wait" => Box::new(ZmsqList::<V>::with_config(
             default.reclamation(Reclamation::ConsumerWait),
         )),
-        "zmsq-strict" => Box::new(Zmsq::<V>::with_config(ZmsqConfig::strict())),
+        "zmsq-strict" => Box::new(ZmsqList::<V>::with_config(ZmsqConfig::strict())),
         "zmsq-sharded" => Box::new(zmsq::ShardedZmsq::<V>::new(threads.max(2) / 2, default)),
         "zmsq-sharded-adaptive" => Box::new(zmsq::ShardedZmsq::<V>::new(
             threads.max(2) / 2,

@@ -90,12 +90,12 @@ pub use pq_traits::InsertError;
 // Re-exported so callers can name lock type parameters.
 pub use zmsq_sync::{OsLock, RawTryLock, TasLock, TatasLock};
 
-/// ZMSQ with the default linked-list sets ("ZMSQ" curves in the paper).
+/// ZMSQ with sorted linked-list sets ("ZMSQ" curves in the paper).
 pub type ZmsqList<V> = Zmsq<V, ListSet<V>, TatasLock>;
 /// ZMSQ with unsorted array sets ("ZMSQ (array)" curves in the paper).
 pub type ZmsqArray<V> = Zmsq<V, ArraySet<V>, TatasLock>;
-/// ZMSQ with sorted-deque sets — this reproduction's extension that makes
-/// the §3.2 parent-min swap O(1) at both ends (see `DequeSet`).
+/// ZMSQ with sorted-deque sets, the default: this reproduction's extension
+/// that makes the §3.2 parent-min swap O(1) at both ends (see `DequeSet`).
 pub type ZmsqDeque<V> = Zmsq<V, DequeSet<V>, TatasLock>;
 /// ZMSQ with slab-backed, u32-index-linked sets: per-element storage comes
 /// from a shared recycling [`Slab`] instead of the allocator, so

@@ -64,7 +64,7 @@ use zmsq_sync::{
 use crate::config::{LockStrategy, ShedPolicy, ZmsqConfig};
 use crate::pool::Pool;
 use crate::rng;
-use crate::set::{ListSet, NodeSet};
+use crate::set::{DequeSet, NodeSet};
 use crate::stats::{Stats, StatsSnapshot};
 use crate::tnode::TNode;
 use crate::tree::{Pos, Tree};
@@ -93,9 +93,10 @@ fn node_site() -> zmsq_sync::SiteId {
 ///
 /// See the [crate docs](crate) for the algorithm overview. Type
 /// parameters select the per-node set representation (`S`) and the node
-/// lock (`L`); the aliases [`ZmsqList`](crate::ZmsqList) and
-/// [`ZmsqArray`](crate::ZmsqArray) cover the paper's two variants.
-pub struct Zmsq<V, S = ListSet<V>, L = TatasLock>
+/// lock (`L`). The default set is the sorted ring buffer
+/// [`DequeSet`](crate::DequeSet); the aliases [`ZmsqList`](crate::ZmsqList)
+/// and [`ZmsqArray`](crate::ZmsqArray) cover the paper's two variants.
+pub struct Zmsq<V, S = DequeSet<V>, L = TatasLock>
 where
     V: Send,
     S: NodeSet<V>,
@@ -476,16 +477,8 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
             match self.insert_attempt(prio, value) {
                 Ok(()) => break,
                 Err(v) => {
-                    self.stats.insert_retries.incr();
                     value = v;
-                    // §4.1's immediate-retry strategy assumes the lock
-                    // holder runs on another core. When threads
-                    // outnumber cores, spinning through restarts starves
-                    // the holder, so yield after a sustained streak.
-                    consecutive_failures += 1;
-                    if consecutive_failures.is_multiple_of(32) {
-                        std::thread::yield_now();
-                    }
+                    self.insert_restarted(&mut consecutive_failures);
                 }
             }
         }
@@ -493,6 +486,18 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         obs::trace_event!(obs::EventKind::Insert, 0, prio);
         if let Some(ev) = &self.events {
             ev.signal();
+        }
+    }
+
+    /// Count a failed insertion attempt before the caller restarts.
+    /// §4.1's immediate-retry strategy assumes the lock holder runs on
+    /// another core. When it does not, spinning through restarts starves
+    /// the holder, so yield after a sustained streak.
+    fn insert_restarted(&self, consecutive_failures: &mut u32) {
+        self.stats.insert_retries.incr();
+        *consecutive_failures += 1;
+        if consecutive_failures.is_multiple_of(32) {
+            std::thread::yield_now();
         }
     }
 
@@ -544,6 +549,7 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
                     soj.note_insert(k);
                 }
             }
+            let mut consecutive_failures = 0u32;
             loop {
                 // `allow_force = false`: a forced position only admits
                 // *non-max* elements one at a time, which the chunked
@@ -554,7 +560,7 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
                 if self.bulk_insert_at(target, chunk_max, items, start) {
                     break;
                 }
-                self.stats.insert_retries.incr();
+                self.insert_restarted(&mut consecutive_failures);
             }
             self.stats.inserts.add(take as u64);
             if let Some(ev) = &self.events {
@@ -1696,9 +1702,9 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> std::fmt::Debug for Zmsq<V, S, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArraySet, Reclamation};
+    use crate::{ArraySet, ListSet, Reclamation};
 
-    type ListQ = Zmsq<u64>;
+    type ListQ = Zmsq<u64, ListSet<u64>>;
     type ArrayQ = Zmsq<u64, ArraySet<u64>>;
 
     #[test]

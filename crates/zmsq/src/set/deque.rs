@@ -10,9 +10,15 @@
 //!
 //! This set provides exactly that: elements sorted **ascending** in a
 //! `VecDeque`, so the max (back) and min (front) are O(1), inserts are a
-//! binary search plus a contiguous shift, and `drain_top` is a tail
-//! split. It keeps the ordered-traversal property the pool refill relies
-//! on while fixing the min-swap's complexity.
+//! binary search plus a contiguous shift, and `drain_top` drains the
+//! tail in place. It keeps the ordered-traversal property the pool refill
+//! relies on while fixing the min-swap's complexity. It is the default
+//! set of [`Zmsq`](crate::Zmsq) and [`ShardedZmsq`](crate::ShardedZmsq).
+//!
+//! Capacity follows the live length, so a tree of mostly half-full sets
+//! costs about what the list costs, not a fixed `2 * target_len + 1`
+//! slots per node: the buffer grows by about 1.5x, and
+//! `split_lower_half` shrinks the kept half to fit.
 
 use std::collections::VecDeque;
 
@@ -59,6 +65,10 @@ impl<V: Send> NodeSet<V> for DequeSet<V> {
     }
 
     fn insert(&mut self, prio: u64, value: V) {
+        if self.items.len() == self.items.capacity() {
+            let len = self.items.len();
+            self.items.reserve_exact((len / 2).max(4));
+        }
         // Fast paths for the two hot cases: new max (regular insertion)
         // and new min (the demoted element of a parent-min swap).
         if self.max_key().is_none_or(|m| prio >= m) {
@@ -84,12 +94,14 @@ impl<V: Send> NodeSet<V> for DequeSet<V> {
     fn drain_top(&mut self, n: usize, out: &mut Vec<(u64, V)>) {
         let take = n.min(self.items.len());
         let split = self.items.len() - take;
-        out.extend(self.items.split_off(split)); // already ascending
+        out.extend(self.items.drain(split..)); // already ascending
     }
 
     fn split_lower_half(&mut self) -> Vec<(u64, V)> {
         let remove = self.items.len() / 2;
-        self.items.drain(..remove).collect()
+        let lower = self.items.drain(..remove).collect();
+        self.items.shrink_to_fit();
+        lower
     }
 
     fn drain_all(&mut self, out: &mut Vec<(u64, V)>) {
@@ -142,6 +154,25 @@ mod tests {
         child.insert(demoted.0, demoted.1); // <= min: push_front path
         assert_eq!(child.min_key(), Some(10));
         assert_eq!(child.max_key(), Some(30));
+    }
+
+    #[test]
+    fn capacity_follows_live_length() {
+        // A full default set: 2 * target_len + 1 with target_len = 72.
+        let mut s = DequeSet::default();
+        for k in 0..145u64 {
+            s.insert(k, k);
+        }
+        let len = s.len();
+        assert!(s.items.capacity() <= len + len / 2 + 4, "1.5x growth");
+
+        s.split_lower_half();
+        assert!(s.items.capacity() <= s.len() + 1, "split shrinks to fit");
+
+        let cap = s.items.capacity();
+        let mut out = Vec::new();
+        s.drain_top(48, &mut out);
+        assert_eq!(s.items.capacity(), cap, "drain_top keeps the buffer");
     }
 
     #[test]

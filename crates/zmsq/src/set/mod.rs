@@ -2,9 +2,12 @@
 //!
 //! Each `TNode` stores a multiset of `(priority, value)` pairs. The paper
 //! evaluates two representations (§4): a **sorted singly linked list**
-//! (the default, mirroring the mound) and an **unsorted fixed-capacity
-//! array** (the "(array)" curves, trading ordered access for allocation-
-//! free inserts and locality). Both are exercised by every benchmark.
+//! (the "ZMSQ" curves, mirroring the mound) and an **unsorted fixed-
+//! capacity array** (the "(array)" curves, trading ordered access for
+//! allocation-free inserts and locality). The default is neither: it is
+//! [`DequeSet`], a sorted ring buffer with O(1) access to both ends, so
+//! the §3.2 parent-min swap stays cheap. [`SlabSet`] draws its nodes
+//! from a queue-wide slab.
 //!
 //! Sets are *not* thread-safe: the owning `TNode`'s lock serializes all
 //! access. Duplicate priorities are allowed.
@@ -33,7 +36,8 @@ pub use slab::SlabSet;
 /// * `split_lower_half` removes and returns the `len / 2` smallest pairs
 ///   (any order).
 pub trait NodeSet<V>: Default + Send {
-    /// Short tag used in queue names: `"list"` or `"array"`.
+    /// Short tag used in queue names: `"list"`, `"array"`, `"deque"` or
+    /// `"slab"`.
     const KIND: &'static str;
 
     /// Shared storage arena for set representations that draw node

@@ -52,7 +52,7 @@ use zmsq_sync::{RawTryLock, SlotVec, TatasLock};
 
 use crate::config::ZmsqConfig;
 use crate::queue::Zmsq;
-use crate::set::{ListSet, NodeSet};
+use crate::set::{DequeSet, NodeSet};
 use crate::StatsSnapshot;
 
 /// Tuning knobs for the MultiQueue-grade fast path: *stickiness* (a
@@ -326,7 +326,7 @@ struct ShardAdapt {
 /// A fixed set of ZMSQ shards with thread-affine insertion, two-distinct-
 /// choice extraction, bounded work-stealing, and (optionally) an adaptive
 /// per-shard refill batch. See the module docs.
-pub struct ShardedZmsq<V, S = ListSet<V>, L = TatasLock>
+pub struct ShardedZmsq<V, S = DequeSet<V>, L = TatasLock>
 where
     V: Send,
     S: NodeSet<V>,

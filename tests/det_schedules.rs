@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 use det::Config;
 use workloads::oracle::{QcChecker, RankOracle};
 use zmsq::{
-    ArraySet, InsertError, ListSet, NodeSet, ShardedConfig, ShardedZmsq, ShedPolicy, TatasLock,
-    Zmsq, ZmsqConfig,
+    ArraySet, DequeSet, InsertError, ListSet, NodeSet, ShardedConfig, ShardedZmsq, ShedPolicy,
+    TatasLock, Zmsq, ZmsqConfig,
 };
 
 /// Unique element token: producer id in the high bits, sequence in the low.
@@ -477,6 +477,8 @@ fn det_mini_stress_matrix() {
     run::<ListSet<u64>>(8, 0x11572);
     run::<ArraySet<u64>>(0, 0xA5571);
     run::<ArraySet<u64>>(8, 0xA5572);
+    run::<DequeSet<u64>>(0, 0xD5571);
+    run::<DequeSet<u64>>(8, 0xD5572);
 }
 
 /// The acceptance property on a real-queue body: a failing schedule

@@ -4,7 +4,7 @@
 use std::collections::BinaryHeap;
 
 use fault::DetRng;
-use zmsq::{ArraySet, ListSet, Reclamation, TatasLock, Zmsq, ZmsqConfig};
+use zmsq::{ArraySet, DequeSet, ListSet, Reclamation, TatasLock, Zmsq, ZmsqConfig};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -119,6 +119,13 @@ fn strict_list_matches_binaryheap() {
 fn strict_array_matches_binaryheap() {
     for_each_case(0xD1F_0002, 1000, |ops| {
         strict_matches_heap::<ArraySet<u64>>(ops, 8)
+    });
+}
+
+#[test]
+fn strict_deque_matches_binaryheap() {
+    for_each_case(0xD1F_000A, 1000, |ops| {
+        strict_matches_heap::<DequeSet<u64>>(ops, 8)
     });
 }
 

@@ -6,8 +6,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use zmsq::{
-    ArraySet, ListSet, LockStrategy, NodeSet, OsLock, RawTryLock, Reclamation, TasLock, TatasLock,
-    Zmsq, ZmsqConfig,
+    ArraySet, DequeSet, ListSet, LockStrategy, NodeSet, OsLock, RawTryLock, Reclamation, TasLock,
+    TatasLock, Zmsq, ZmsqConfig,
 };
 
 fn stress<S, L>(cfg: ZmsqConfig, label: &str)
@@ -81,6 +81,16 @@ fn matrix_array_tatas() {
         stress::<ArraySet<u64>, TatasLock>(
             ZmsqConfig::default().batch(batch).target_len(tl),
             &format!("array/tatas b={batch} t={tl}"),
+        );
+    }
+}
+
+#[test]
+fn matrix_deque_tatas() {
+    for (batch, tl) in [(0, 8), (1, 2), (8, 12), (48, 72)] {
+        stress::<DequeSet<u64>, TatasLock>(
+            ZmsqConfig::default().batch(batch).target_len(tl),
+            &format!("deque/tatas b={batch} t={tl}"),
         );
     }
 }
