@@ -27,19 +27,10 @@
 //! `--serve-hold-ms N` keeps the listener up N ms after the last queue
 //! finishes so slow scrapers (CI) still see the final state.
 //!
-//! With `--assert-alloc-free` the run additionally snapshots each
-//! slab-backed kind's `alloc.slab_grows` counter after prefill (the
-//! warmup) and fails the process if the measured phase grew the slab —
-//! and, for the `zmsq-slab-bounded` arm, if the pre-published arena
-//! grew *at all*. This is the repo's proof that the bounded variant's
-//! steady state performs zero allocator calls; the per-kind
-//! `slab_grows_steady` summary key records the same delta for the
-//! perf-gate trend.
-//!
 //! Usage: ops_latency [--ops N] [--prefill N] [--threads T]
-//!                    [--queues a,b,c] [--quick] [--assert-alloc-free]
-//!                    [--metrics \[path\]] [--trace \[path\]]
-//!                    [--serve \[addr\]] [--serve-hold-ms N]
+//!                    [--queues a,b,c] [--quick] [--metrics \[path\]]
+//!                    [--trace \[path\]] [--serve \[addr\]]
+//!                    [--serve-hold-ms N]
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,11 +49,8 @@ fn main() {
     let threads: usize = args.get_num("threads", 2);
     let queues_arg = args.get(
         "queues",
-        "zmsq,zmsq-array,zmsq-slab,zmsq-slab-bounded,zmsq-strict,mound,spraylist,multiqueue,\
-         coarse-heap",
+        "zmsq,zmsq-array,zmsq-strict,mound,spraylist,multiqueue,coarse-heap",
     );
-    let assert_alloc_free = args.get_bool("assert-alloc-free");
-    let mut alloc_failures: Vec<String> = Vec::new();
     let metrics = MetricsOut::from_args(&args, "ops_latency");
     let server = bench::metrics::serve_from_args(&args, "ops_latency");
     let serving = server.is_some();
@@ -85,12 +73,6 @@ fn main() {
         for i in 0..prefill {
             q.insert((i * 2654435761) % (1 << 20), i);
         }
-        // Warmup boundary for the alloc-free proof: growth after this
-        // point means the hot path touched the allocator.
-        let slab_grows = |q: &dyn ConcurrentPriorityQueue<u64>| {
-            q.metrics().and_then(|m| m.counter("alloc.slab_grows"))
-        };
-        let grows_warm = slab_grows(&*q);
         let sampler = observing.then(|| {
             let qs = Arc::clone(&q);
             obs::Sampler::start(
@@ -174,30 +156,6 @@ fn main() {
         });
         let wall = t_wall.elapsed();
 
-        let is_slab = kind.contains("slab");
-        let grows_steady = match (grows_warm, slab_grows(&*q)) {
-            (Some(w), Some(e)) => Some(e.saturating_sub(w)),
-            _ => None,
-        };
-        if assert_alloc_free && is_slab {
-            match grows_steady {
-                Some(0) => {
-                    if kind == "zmsq-slab-bounded" && grows_warm != Some(0) {
-                        alloc_failures.push(format!(
-                            "{kind}: pre-published arena grew {} time(s) during warmup",
-                            grows_warm.unwrap_or(0)
-                        ));
-                    }
-                }
-                Some(n) => alloc_failures.push(format!(
-                    "{kind}: slab grew {n} time(s) after warmup (hot path hit the allocator)"
-                )),
-                None => {
-                    alloc_failures.push(format!("{kind}: no alloc.slab_grows counter in metrics()"))
-                }
-            }
-        }
-
         let name = q.name();
         for (op, h) in [("insert", &ins), ("extract", &ext)] {
             println!(
@@ -234,9 +192,6 @@ fn main() {
                 all.push_summary(&format!("{kind}/{op}_p50_ns"), h.percentile_ns(0.50) as f64);
                 all.push_summary(&format!("{kind}/{op}_p99_ns"), h.percentile_ns(0.99) as f64);
             }
-            if let Some(n) = grows_steady.filter(|_| is_slab) {
-                all.push_summary(&format!("{kind}/slab_grows_steady"), n as f64);
-            }
             bench::metrics::push_rank_summary(&mut all, &format!("{kind}/"));
         }
     }
@@ -250,16 +205,6 @@ fn main() {
         }
     }
     bench::metrics::export_trace(&args, "ops_latency");
-
-    if !alloc_failures.is_empty() {
-        for f in &alloc_failures {
-            eprintln!("assert-alloc-free: FAIL {f}");
-        }
-        std::process::exit(1);
-    }
-    if assert_alloc_free {
-        eprintln!("assert-alloc-free: ok (no slab growth after warmup)");
-    }
 
     if let Some(server) = server {
         let hold: u64 = args.get_num("serve-hold-ms", 0);

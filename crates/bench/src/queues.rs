@@ -2,9 +2,7 @@
 
 use baselines::{CoarseHeap, FifoQueue, KLsm, Mound, MultiQueue, SprayList, StrictSkiplistPq};
 use pq_traits::ConcurrentPriorityQueue;
-use zmsq::{
-    ArraySet, DequeSet, ListSet, Reclamation, SlabSet, TatasLock, Zmsq, ZmsqConfig, ZmsqList,
-};
+use zmsq::{ArraySet, DequeSet, ListSet, Reclamation, TatasLock, Zmsq, ZmsqConfig, ZmsqList};
 
 /// A boxed queue usable by every generic driver.
 pub type BoxedQueue<V> = Box<dyn ConcurrentPriorityQueue<V> + Sync + Send>;
@@ -25,7 +23,7 @@ pub fn make_zmsq<V: Send + 'static>(
 }
 
 /// Construct a tuned ZMSQ with an explicit set representation
-/// (`"list"`, `"array"`, `"deque"`, or `"slab"`).
+/// (`"list"`, `"array"` or `"deque"`).
 pub fn make_zmsq_set<V: Send + 'static>(
     batch: usize,
     target_len: usize,
@@ -39,7 +37,6 @@ pub fn make_zmsq_set<V: Send + 'static>(
     match set {
         "array" => Box::new(Zmsq::<V, ArraySet<V>, TatasLock>::with_config(cfg)),
         "deque" => Box::new(Zmsq::<V, DequeSet<V>, TatasLock>::with_config(cfg)),
-        "slab" => Box::new(Zmsq::<V, SlabSet<V>, TatasLock>::with_config(cfg)),
         _ => Box::new(Zmsq::<V, ListSet<V>, TatasLock>::with_config(cfg)),
     }
 }
@@ -47,16 +44,10 @@ pub fn make_zmsq_set<V: Send + 'static>(
 /// Construct a queue by name. `threads` parameterizes the thread-count-
 /// sensitive queues (SprayList spray width, MultiQueue heap count).
 ///
-/// Known names: `zmsq`, `zmsq-array`, `zmsq-deque`, `zmsq-slab`,
-/// `zmsq-slab-bounded`, `zmsq-leak`, `zmsq-wait`, `zmsq-strict`,
-/// `zmsq-sharded`, `zmsq-sharded-adaptive`, `mound`, `spraylist`,
-/// `multiqueue`, `klsm`, `coarse-heap`, `skiplist-strict`, `fifo`.
-///
-/// `zmsq-slab-bounded` is the `Zmsq::bounded` composition (slab sets +
-/// capacity admission with the pre-published arena) at a fixed 2^18 =
-/// 262,144 elements — above every harness's default prefill, so the
-/// bench workloads never hit the admission ceiling and the arm isolates
-/// the allocation-free steady state (`ops_latency --assert-alloc-free`).
+/// Known names: `zmsq`, `zmsq-array`, `zmsq-deque`, `zmsq-leak`,
+/// `zmsq-wait`, `zmsq-strict`, `zmsq-sharded`, `zmsq-sharded-adaptive`,
+/// `mound`, `spraylist`, `multiqueue`, `klsm`, `coarse-heap`,
+/// `skiplist-strict`, `fifo`.
 ///
 /// `zmsq`, `zmsq-leak`, `zmsq-wait` and `zmsq-strict` use the paper's
 /// linked-list sets, so they keep measuring its unlabelled "ZMSQ" curves;
@@ -67,10 +58,6 @@ pub fn make_queue<V: Send + 'static>(kind: &str, threads: usize) -> BoxedQueue<V
         "zmsq" => Box::new(ZmsqList::<V>::with_config(default)),
         "zmsq-array" => Box::new(Zmsq::<V, ArraySet<V>, TatasLock>::with_config(default)),
         "zmsq-deque" => Box::new(Zmsq::<V, DequeSet<V>, TatasLock>::with_config(default)),
-        "zmsq-slab" => Box::new(Zmsq::<V, SlabSet<V>, TatasLock>::with_config(default)),
-        "zmsq-slab-bounded" => Box::new(Zmsq::<V, SlabSet<V>, TatasLock>::with_config(
-            default.capacity(1 << 18),
-        )),
         "zmsq-leak" => Box::new(ZmsqList::<V>::with_config(
             default.reclamation(Reclamation::Leak),
         )),
@@ -155,8 +142,6 @@ mod tests {
             "zmsq",
             "zmsq-array",
             "zmsq-deque",
-            "zmsq-slab",
-            "zmsq-slab-bounded",
             "zmsq-leak",
             "zmsq-wait",
             "zmsq-strict",

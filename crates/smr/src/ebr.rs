@@ -312,27 +312,6 @@ pub fn pending_count() -> usize {
     global().pending.load(Ordering::Relaxed)
 }
 
-/// The current global epoch, for external recyclers that stamp retired
-/// resources instead of deferring closures (e.g. `zmsq`'s node slab).
-///
-/// A resource stamped with `global_epoch()` at retire time may be reused
-/// once [`reclaim_bound`] exceeds the stamp — the same `stamp < bound`
-/// rule [`collect`] applies to deferred garbage, so the resource is
-/// guaranteed unreachable from every pinned critical section.
-pub fn global_epoch() -> u64 {
-    global().epoch.load(Ordering::SeqCst)
-}
-
-/// The reclamation bound: every retire stamp **strictly below** this
-/// value is safe to recycle. Attempts to advance the epoch first, so
-/// quiescent callers observe a fresh bound; with no thread pinned at all
-/// the bound is `u64::MAX` (everything retired so far is reclaimable).
-pub fn reclaim_bound() -> u64 {
-    let g = global();
-    g.try_advance();
-    g.min_pinned().unwrap_or(u64::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,33 +484,5 @@ mod tests {
         }
         collect();
         assert_eq!(live.load(Ordering::SeqCst), 0, "all nodes reclaimed");
-    }
-
-    /// The external-recycler contract: a resource stamped while a guard
-    /// is pinned must not become reclaimable until the guard drops, and
-    /// must become reclaimable (bound > stamp) once it has.
-    #[test]
-    fn epoch_hooks_gate_external_recycling_on_pins() {
-        let _serial = serial();
-        let guard = pin();
-        let stamp = global_epoch();
-        // While we are pinned at (or below) `stamp`, the bound can never
-        // exceed it: `stamp < bound` stays false.
-        assert!(
-            reclaim_bound() <= stamp,
-            "bound passed a stamp taken inside a live pin"
-        );
-        drop(guard);
-        // Unpinned: try_advance can now walk the epoch past the stamp.
-        // Other tests' transient pins can stall one attempt, so poll.
-        let mut bound = reclaim_bound();
-        for _ in 0..1_000 {
-            if bound > stamp {
-                break;
-            }
-            std::thread::yield_now();
-            bound = reclaim_bound();
-        }
-        assert!(bound > stamp, "bound never passed the stamp after unpin");
     }
 }

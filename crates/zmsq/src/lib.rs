@@ -71,16 +71,14 @@ mod queue;
 mod rng;
 mod set;
 mod sharded;
-pub mod slab;
 mod stats;
 mod tnode;
 mod tree;
 
 pub use config::{LockStrategy, QualityOpts, Reclamation, ShedPolicy, ZmsqConfig};
 pub use queue::{SetSizeStats, Zmsq};
-pub use set::{ArraySet, DequeSet, ListSet, NodeSet, SlabSet};
+pub use set::{ArraySet, DequeSet, ListSet, NodeSet};
 pub use sharded::{ShardedConfig, ShardedZmsq};
-pub use slab::{Slab, SlabStats};
 pub use stats::StatsSnapshot;
 
 // Re-exported so bounded-queue callers can match the fallible-insert
@@ -97,10 +95,6 @@ pub type ZmsqArray<V> = Zmsq<V, ArraySet<V>, TatasLock>;
 /// ZMSQ with sorted-deque sets, the default: this reproduction's extension
 /// that makes the §3.2 parent-min swap O(1) at both ends (see `DequeSet`).
 pub type ZmsqDeque<V> = Zmsq<V, DequeSet<V>, TatasLock>;
-/// ZMSQ with slab-backed, u32-index-linked sets: per-element storage comes
-/// from a shared recycling [`Slab`] instead of the allocator, so
-/// steady-state inserts/extracts are allocation-free (see [`Zmsq::bounded`]).
-pub type ZmsqSlab<V> = Zmsq<V, SlabSet<V>, TatasLock>;
 
 impl<V: Send + 'static, S: NodeSet<V> + 'static, L: RawTryLock + 'static>
     pq_traits::ConcurrentPriorityQueue<V> for Zmsq<V, S, L>

@@ -105,10 +105,6 @@ where
     tree: Tree<V, S, L>,
     pool: Pool<V>,
     cfg: ZmsqConfig,
-    /// Queue-wide node-storage arena. `()` for plain sets; the shared
-    /// recycling slab for [`SlabSet`](crate::SlabSet), pre-sized to
-    /// `cfg.capacity` so a bounded queue never grows it in steady state.
-    arena: S::Arena,
     events: Option<EventBuffer>,
     /// Producer-side blocking, allocated iff `cfg.capacity` is set (all
     /// shed policies share it so `close()` and the waiter gauges are
@@ -255,13 +251,13 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         Self::with_config(ZmsqConfig::default())
     }
 
-    /// Create a fixed-capacity queue whose slab (for slab-backed sets)
-    /// is pre-allocated to `n` elements: with admission control keeping
-    /// occupancy at or below `n`, steady-state operation performs zero
-    /// allocator calls (`alloc.slab_grows` stays 0 — see
-    /// [`slab_stats`](Self::slab_stats)). Admission defaults to
-    /// [`ShedPolicy::Block`](crate::ShedPolicy::Block); compose with
-    /// [`ZmsqConfig::shed_policy`] via `with_config` for other policies.
+    /// Create a queue that admits at most `n` elements: shorthand for
+    /// `with_config(ZmsqConfig::default().capacity(n))`. Admission
+    /// defaults to [`ShedPolicy::Block`](crate::ShedPolicy::Block);
+    /// compose with [`ZmsqConfig::shed_policy`] via `with_config` for
+    /// other policies. Capacity bounds memory, not allocator traffic:
+    /// node sets still grow and shrink with their length, and
+    /// `Reclamation::Hazard` pool refills allocate a fresh buffer.
     pub fn bounded(n: usize) -> Self {
         Self::with_config(ZmsqConfig::default().capacity(n))
     }
@@ -269,9 +265,8 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
     /// Create a queue with an explicit configuration.
     pub fn with_config(cfg: ZmsqConfig) -> Self {
         let cfg = cfg.normalized();
-        let arena = S::new_arena(cfg.capacity.unwrap_or(0));
         Self {
-            tree: Tree::new(cfg.initial_leaf_level, &arena),
+            tree: Tree::new(cfg.initial_leaf_level),
             // The pool is allocated at the top of the adaptive range so a
             // widened batch never outgrows the (ConsumerWait) buffer;
             // batch_max == batch when adaptation is off.
@@ -290,7 +285,6 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
             rank_est: cfg.rank_estimator.map(obs::RankEstimator::new),
             sojourn: cfg.sojourn.map(obs::SojournTracker::new),
             cfg,
-            arena,
         }
     }
 
@@ -309,22 +303,9 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         &self.cfg
     }
 
-    /// Snapshot of the operation counters. For slab-backed sets the
-    /// arena's allocation counters are merged in (`slab_hits`,
-    /// `slab_grows`).
+    /// Snapshot of the operation counters.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut s = self.stats.snapshot();
-        if let Some(sl) = S::arena_stats(&self.arena) {
-            s.slab_hits = sl.hits;
-            s.slab_grows = sl.grows;
-        }
-        s
-    }
-
-    /// Allocation counters of the node-storage slab, or `None` for set
-    /// representations that allocate per element (list/array/deque).
-    pub fn slab_stats(&self) -> Option<crate::slab::SlabStats> {
-        S::arena_stats(&self.arena)
+        self.stats.snapshot()
     }
 
     /// Best-effort size (inserts minus extractions; exact when quiescent).
@@ -665,7 +646,7 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
                     return ((leaf, slot), true);
                 }
             }
-            let grown = self.tree.grow(leaf, &self.arena);
+            let grown = self.tree.grow(leaf);
             if grown > leaf {
                 self.stats.tree_grows.incr();
                 obs::trace_event!(obs::EventKind::TreeGrow, grown as u32);
@@ -849,7 +830,7 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         // never a correctness one.
         while self.tree.leaf_level() <= pos.0 {
             let before = self.tree.leaf_level();
-            if self.tree.grow(before, &self.arena) == before {
+            if self.tree.grow(before) == before {
                 node.unlock();
                 return;
             }
@@ -2490,41 +2471,51 @@ mod tests {
         assert_eq!(q.capacity(), None);
         assert_eq!(q.occupancy(), 0, "no accounting when unbounded");
         assert_eq!(q.drain_count(), 100);
+        let q: Zmsq<u64> = Zmsq::new();
+        assert_eq!(pq_traits::ConcurrentPriorityQueue::capacity(&q), None);
+    }
+
+    /// Offer `2 * cap` elements to a `Reject` queue of capacity `cap`:
+    /// exactly `cap` are admitted and come back out, the emptied queue
+    /// reports `None`, and it still accepts inserts afterwards.
+    fn reject_sheds_overflow_and_conserves<S: NodeSet<u64>>(cfg: ZmsqConfig, cap: usize) {
+        let q: Zmsq<u64, S> = Zmsq::with_config(cfg.capacity(cap).shed_policy(ShedPolicy::Reject));
+        let (cap, offered) = (cap as u64, 2 * cap as u64);
+        for i in 0..offered {
+            q.insert(i, i);
+        }
+        assert_eq!(q.occupancy() as u64, cap);
+        let s = q.stats();
+        assert_eq!(s.inserts, cap, "only admitted elements count as inserts");
+        assert_eq!(s.capacity_hits, offered - cap);
+        assert_eq!(s.shed_rejected, offered - cap);
+        assert_eq!(s.shed_evicted, 0);
+        assert_eq!(s.shed_total(), offered - cap);
+        assert_eq!(q.drain_count() as u64, cap);
+        assert_eq!(q.occupancy(), 0);
+        assert_eq!(q.extract_max(), None);
+        assert_eq!(q.len_hint(), 0);
+        // Conservation identity: admitted − extracted − evicted == live.
+        let s = q.stats();
+        assert_eq!(s.inserts - s.extracts - s.shed_evicted, 0);
+        // The drained queue admits again.
+        q.try_insert(7, 7).unwrap();
+        assert_eq!(q.extract_max(), Some((7, 7)));
     }
 
     #[test]
     fn reject_policy_sheds_overflow_and_conserves() {
-        let q = ListQ::with_config(
-            ZmsqConfig::default()
-                .batch(4)
-                .target_len(8)
-                .capacity(10)
-                .shed_policy(ShedPolicy::Reject),
-        );
-        for i in 0..50u64 {
-            q.insert(i, i);
-        }
-        assert_eq!(q.occupancy(), 10);
-        let s = q.stats();
-        assert_eq!(s.inserts, 10, "only admitted elements count as inserts");
-        assert_eq!(s.capacity_hits, 40);
-        assert_eq!(s.shed_rejected, 40);
-        assert_eq!(s.shed_evicted, 0);
-        assert_eq!(s.shed_total(), 40);
-        assert_eq!(q.drain_count(), 10);
-        assert_eq!(q.occupancy(), 0);
-        // Conservation identity: admitted − extracted − evicted == live.
-        let s = q.stats();
-        assert_eq!(s.inserts - s.extracts - s.shed_evicted, 0);
+        let small = ZmsqConfig::default().batch(4).target_len(8);
+        reject_sheds_overflow_and_conserves::<ListSet<u64>>(small.clone(), 10);
+        reject_sheds_overflow_and_conserves::<DequeSet<u64>>(small, 10);
+        reject_sheds_overflow_and_conserves::<DequeSet<u64>>(ZmsqConfig::default(), 256);
     }
 
     #[test]
     fn try_insert_full_hands_the_element_back() {
-        let q: Zmsq<String> = Zmsq::with_config(
-            ZmsqConfig::default()
-                .capacity(2)
-                .shed_policy(ShedPolicy::Block),
-        );
+        // `bounded(n)` is `capacity(n)` under the default `Block` policy.
+        let q: Zmsq<String> = Zmsq::bounded(2);
+        assert_eq!(pq_traits::ConcurrentPriorityQueue::capacity(&q), Some(2));
         q.try_insert(1, "a".into()).unwrap();
         q.try_insert(2, "b".into()).unwrap();
         let err = q.try_insert(3, "c".into()).unwrap_err();

@@ -40,7 +40,6 @@ impl<V> ArraySet<V> {
 
 impl<V: Send> NodeSet<V> for ArraySet<V> {
     const KIND: &'static str = "array";
-    type Arena = ();
 
     #[inline]
     fn len(&self) -> usize {

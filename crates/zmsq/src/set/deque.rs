@@ -47,7 +47,6 @@ impl<V> DequeSet<V> {
 
 impl<V: Send> NodeSet<V> for DequeSet<V> {
     const KIND: &'static str = "deque";
-    type Arena = ();
 
     #[inline]
     fn len(&self) -> usize {

@@ -27,7 +27,6 @@ impl<V> Default for ListSet<V> {
 
 impl<V: Send> NodeSet<V> for ListSet<V> {
     const KIND: &'static str = "list";
-    type Arena = ();
 
     #[inline]
     fn len(&self) -> usize {

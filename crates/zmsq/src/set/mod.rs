@@ -6,8 +6,7 @@
 //! capacity array** (the "(array)" curves, trading ordered access for
 //! allocation-free inserts and locality). The default is neither: it is
 //! [`DequeSet`], a sorted ring buffer with O(1) access to both ends, so
-//! the §3.2 parent-min swap stays cheap. [`SlabSet`] draws its nodes
-//! from a queue-wide slab.
+//! the §3.2 parent-min swap stays cheap.
 //!
 //! Sets are *not* thread-safe: the owning `TNode`'s lock serializes all
 //! access. Duplicate priorities are allowed.
@@ -15,12 +14,10 @@
 mod array;
 mod deque;
 mod list;
-mod slab;
 
 pub use array::ArraySet;
 pub use deque::DequeSet;
 pub use list::ListSet;
-pub use slab::SlabSet;
 
 /// The multiset stored in each tree node.
 ///
@@ -36,34 +33,8 @@ pub use slab::SlabSet;
 /// * `split_lower_half` removes and returns the `len / 2` smallest pairs
 ///   (any order).
 pub trait NodeSet<V>: Default + Send {
-    /// Short tag used in queue names: `"list"`, `"array"`, `"deque"` or
-    /// `"slab"`.
+    /// Short tag used in queue names: `"list"`, `"array"` or `"deque"`.
     const KIND: &'static str;
-
-    /// Shared storage arena for set representations that draw node
-    /// storage from a queue-wide slab instead of the allocator. Plain
-    /// sets use `()`; [`SlabSet`] uses an `Arc<Slab<V>>`.
-    type Arena: Send + Sync + Default;
-
-    /// Build the queue-wide arena, pre-sized for `prealloc` elements
-    /// (0 = grow on demand). Called once per queue at construction.
-    fn new_arena(prealloc: usize) -> Self::Arena {
-        let _ = prealloc;
-        Default::default()
-    }
-
-    /// Attach a node's set to the queue's arena. Called while the node
-    /// is still exclusively owned (before it is published into the
-    /// tree), so a plain `&mut self` suffices.
-    fn attach(&mut self, arena: &Self::Arena) {
-        let _ = arena;
-    }
-
-    /// Allocation counters for the arena, if it keeps any.
-    fn arena_stats(arena: &Self::Arena) -> Option<crate::slab::SlabStats> {
-        let _ = arena;
-        None
-    }
 
     /// Number of stored pairs.
     fn len(&self) -> usize;
@@ -237,7 +208,6 @@ pub(crate) mod tests {
     set_suite!(list_suite, ListSet<u64>);
     set_suite!(array_suite, ArraySet<u64>);
     set_suite!(deque_suite, DequeSet<u64>);
-    set_suite!(slab_suite, SlabSet<u64>);
 
     /// Reference model: a sorted Vec with identical semantics.
     #[derive(Default)]
@@ -355,10 +325,5 @@ pub(crate) mod tests {
     #[test]
     fn deque_matches_model() {
         check_against_model::<DequeSet<u64>>(0x5E7_33D5);
-    }
-
-    #[test]
-    fn slab_matches_model() {
-        check_against_model::<SlabSet<u64>>(0x5E7_44D5);
     }
 }

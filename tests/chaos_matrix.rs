@@ -1169,74 +1169,3 @@ fn conservation_tuned_multiqueue_under_flush_faults() {
     );
     fault::reset();
 }
-
-/// Slab slot conservation under chaos pool windows: with the
-/// slab-backed sets, every element living in a tree set occupies
-/// exactly one slab slot, so at every quiescent point
-/// `slab.live == inserts − extracts − pooled` — and the pool can hold
-/// at most one refill batch. The claim/refill races stretched by
-/// `pool.claim-delay` are precisely where a buggy recycler would leak
-/// (slot freed twice → list corruption) or strand (slot never freed)
-/// storage; the identity is checked over several churn phases and
-/// exactly (`live == 0`) on the fully drained queue.
-#[test]
-fn slab_slot_conservation_under_pool_chaos() {
-    let _x = fault::exclusive();
-    fault::reset();
-    let seed = chaos_seed();
-    fault::set_seed(seed ^ 0x5A);
-    let _dump = DumpOnFail(seed ^ 0x5A);
-    fault::configure(
-        "pool.claim-delay",
-        Policy::new(Trigger::Prob(0.2)).with_action(Action::SleepMs(1)),
-    );
-    fault::configure(
-        "pool.refill-delay",
-        Policy::new(Trigger::Prob(0.3)).with_action(Action::Yield),
-    );
-    fault::configure("trylock.spurious-fail", Policy::new(Trigger::Prob(0.05)));
-    const BATCH_MAX: u64 = 48; // ZmsqConfig::default() ceiling
-    let q: zmsq::ZmsqSlab<u64> = Zmsq::with_config(ZmsqConfig::default().batch(8).target_len(12));
-    for phase in 0..3u64 {
-        run_conservation(&q, 1_000);
-        // Quiescent sandwich: live slots are the in-queue elements minus
-        // whatever sits claimable in pool buffers (taken out of their
-        // slots at refill), which one refill bounds by batch_max.
-        let s = q.stats();
-        let in_queue = s.inserts - s.extracts;
-        let slab = q.slab_stats().expect("slab variant exposes arena stats");
-        assert!(
-            slab.live <= in_queue,
-            "phase {phase}: {} live slots exceed {in_queue} in-queue elements \
-             (double-handed slot, seed {seed:#x})",
-            slab.live
-        );
-        assert!(
-            slab.live + BATCH_MAX >= in_queue,
-            "phase {phase}: {} live slots for {in_queue} in-queue elements — \
-             more than one refill batch unaccounted (leaked slots, seed {seed:#x})",
-            slab.live
-        );
-        // Drain to empty: the identity must now hold exactly.
-        let mut drained = 0u64;
-        while q.extract_max().is_some() {
-            drained += 1;
-        }
-        assert_eq!(drained, in_queue, "phase {phase}: drain count mismatch");
-        let s = q.stats();
-        assert_eq!(s.inserts, s.extracts, "phase {phase}: conservation broken");
-        assert_eq!(
-            q.slab_stats().unwrap().live,
-            0,
-            "phase {phase}: live != inserts − extracts on the drained queue \
-             (slots leaked, seed {seed:#x})"
-        );
-    }
-    let slab = q.slab_stats().unwrap();
-    assert!(slab.hits > 0, "churn must exercise the recycler");
-    assert!(
-        fault::hit_count("pool.claim-delay") > 0,
-        "seed {seed:#x}: claim-delay failpoint never evaluated"
-    );
-    fault::reset();
-}
